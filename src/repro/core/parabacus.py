@@ -34,7 +34,7 @@ same RNG seed, up to float summation order.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple, Union
 
 import pandas as pd
 
@@ -84,7 +84,7 @@ def group_bounds(m: int, p: int) -> List[int]:
 
 def process_group(
     s0_edges: Sequence[Edge],
-    batch: Sequence[Element],
+    batch: Union[Sequence[Element], Mapping[int, Element]],
     deltas: Sequence[Sequence[Op]],
     triplets: Sequence[Triplet],
     k: int,
@@ -94,7 +94,9 @@ def process_group(
     """Count edges ``batch[start:stop]`` against their sample versions.
 
     ``batch[j]``'s version is ``S_j`` = ``S_0`` + deltas[0..j-1]; the
-    increment uses the cached pre-update triplet ``triplets[j]``.
+    increment uses the cached pre-update triplet ``triplets[j]``. Only
+    ``batch[start:stop]`` is read, so ``batch`` may be the whole
+    mini-batch or just the group's elements keyed by batch position.
     Returns ``(partial_count, comparisons)``.
     """
     adj = build_adjacency(s0_edges)
@@ -200,29 +202,14 @@ class SparkExecutor:
 
         def count_one_group(pdf: pd.DataFrame) -> pd.DataFrame:
             s0, all_deltas, all_triplets, budget = bc.value
-            pdf = pdf.sort_values("idx")
-            start = int(pdf["idx"].iloc[0])
-            stop = int(pdf["idx"].iloc[-1]) + 1
             grp_batch = {
                 int(i): (int(u), int(v), int(s))
                 for i, u, v, s in zip(pdf["idx"], pdf["u"], pdf["v"], pdf["sign"])
             }
-            adj = build_adjacency(s0)
-            for j in range(start):
-                for op in all_deltas[j]:
-                    apply_op(adj, op)
-            partial = 0.0
-            comparisons = 0
-            for j in range(start, stop):
-                u, v, sign = grp_batch[j]
-                n_bf, comps = count_butterflies_with_sample(adj, u, v)
-                comparisons += comps
-                if n_bf:
-                    n_live, c_b, c_g = all_triplets[j]
-                    p = discovery_probability(budget, n_live, c_b, c_g)
-                    partial += (n_bf if sign > 0 else -n_bf) / p
-                for op in all_deltas[j]:
-                    apply_op(adj, op)
+            partial, comparisons = process_group(
+                s0, grp_batch, all_deltas, all_triplets, budget,
+                min(grp_batch), max(grp_batch) + 1,
+            )
             return pd.DataFrame(
                 {
                     "g": [int(pdf["g"].iloc[0])],

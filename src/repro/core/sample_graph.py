@@ -90,20 +90,5 @@ class SampleGraph:
         """Neighbor set of ``v`` in the sample (empty set if absent)."""
         return self.adj.get(v, _EMPTY)
 
-    def degree(self, v: int) -> int:
-        return len(self.adj.get(v, _EMPTY))
-
-    def copy(self) -> "SampleGraph":
-        """Deep-ish copy (new sets, shared immutable ints)."""
-        g = SampleGraph.__new__(SampleGraph)
-        g.adj = {k: set(s) for k, s in self.adj.items()}
-        g._edges = list(self._edges)
-        g._pos = dict(self._pos)
-        return g
-
-    def adjacency_copy(self) -> Dict[int, Set[int]]:
-        """Plain dict-of-sets copy, for broadcasting to Spark tasks."""
-        return {k: set(s) for k, s in self.adj.items()}
-
 
 _EMPTY: frozenset = frozenset()

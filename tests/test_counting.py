@@ -3,9 +3,13 @@ import random
 
 import pytest
 
+from repro.core import abacus as abacus_mod
+from repro.core.abacus import Abacus
 from repro.core.counting import count_butterflies_with_sample
 from repro.core.encoding import enc_right
 from repro.core.sample_graph import SampleGraph
+from repro.streamgen.graphs import zipf_bipartite
+from repro.streamgen.stream import fully_dynamic_stream
 
 
 def brute_force_per_edge(adj, u, v):
@@ -123,7 +127,7 @@ def test_comparisons_counts_min_set_sizes():
     g.add(3, v)
     n, comps = count_butterflies_with_sample(g.adj, u, v)
     assert n == 2  # x1 and x2 both close butterflies
-    # cheapest side: N_u (cum degree 3) vs N_v (cum deg 2+2+1=5) -> iterate N_u
+    # explore side: |N_u| = 1 < |N_v| = 3 -> iterate N_u
     # one intersection: min(|N_w|=3, |N_v|=3) = 3
     assert comps == 3
 
@@ -140,3 +144,78 @@ def test_cheap_side_selection_does_not_change_count(seed):
                 count_butterflies_with_sample(g.adj, u, v)[0]
                 == brute_force_per_edge(g.adj, u, v)
             )
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_kernel_property_both_orientations_and_sampled_cases(seed):
+    """Count equals brute force, and comparisons equal
+    sum_{w in N_a, w != b} min(|N_w|, |N_b|) where a is the endpoint with
+    the smaller sampled degree (ties: the first argument)."""
+    g, rng = random_sample_graph(9, 9, 40, seed)
+    adj = g.adj
+    seen = set()
+    for _ in range(40):
+        x, y = rng.randrange(9), enc_right(rng.randrange(9))
+        for u, v in ((x, y), (y, x)):
+            n, comps = count_butterflies_with_sample(adj, u, v)
+            assert n == brute_force_per_edge(adj, u, v), (u, v)
+            nu, nv = adj.get(u, set()), adj.get(v, set())
+            if not nu or not nv:
+                assert comps == 0
+                continue
+            a, b = (u, v) if len(nu) <= len(nv) else (v, u)
+            expected = sum(
+                min(len(adj[w]), len(adj[b])) for w in adj[a] if w != b
+            )
+            assert comps == expected, (u, v)
+            seen.add((x, y) in g)
+    assert seen == {True, False}  # both sampled and unsampled edges hit
+
+
+def cumulative_degree_kernel(adj, u, v):
+    """Reference copy of the earlier kernel: explore the endpoint whose
+    sampled neighborhood has the smaller cumulative degree (Alg. 1 line
+    7), one Python-level intersection per explored neighbor."""
+    nu = adj.get(u, frozenset())
+    nv = adj.get(v, frozenset())
+    if not nu or not nv:
+        return 0, 0
+    cum_u = sum(len(adj[x]) for x in nu)
+    cum_v = sum(len(adj[x]) for x in nv)
+    if cum_u > cum_v:
+        u, v = v, u
+        nu, nv = nv, nu
+    count = 0
+    comparisons = 0
+    for w in nu:
+        if w == v:
+            continue
+        nw = adj[w]
+        comparisons += min(len(nw), len(nv))
+        cn = nw & nv
+        c = len(cn)
+        if u in cn:
+            c -= 1
+        count += c
+    return count, comparisons
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_abacus_estimate_identical_to_cumulative_degree_kernel(seed, monkeypatch):
+    """The explore side changes only the comparisons: with a sample
+    smaller than the stream, deletions included, the estimate is
+    bit-identical to one computed with the cumulative-degree kernel."""
+    edges = zipf_bipartite(40, 40, 500, 0.9, 0.9, seed=seed)
+    stream = fully_dynamic_stream(edges, 0.25, seed=seed)
+    k = len(stream) // 3
+    new = Abacus(k=k, seed=seed)
+    new_est = new.process_stream(stream)
+    monkeypatch.setattr(
+        abacus_mod, "count_butterflies_with_sample", cumulative_degree_kernel
+    )
+    ref = Abacus(k=k, seed=seed)
+    ref_est = ref.process_stream(stream)
+    assert k < len(stream)
+    assert new.sample_size == ref.sample_size
+    assert new_est != 0.0
+    assert new_est == ref_est
