@@ -6,7 +6,8 @@ Per mini-batch of M elements:
    the pre-update triplet ``(|E|, c_b, c_g)`` (Sec. V-A's cached
    ``{s, c_b, c_g}``) and the delta ``S_{j-1} -> S_j`` produced by
    Random Pairing. The base version ``S_0`` is snapshotted once (as an
-   edge list — cheap to broadcast; tasks rebuild the adjacency in O(k)).
+   edge list — cheap to broadcast; tasks rebuild it as a
+   :class:`~repro.core.sample_graph.SampleGraph` in O(k)).
 2. **Parallel per-edge counting**: the M edges are split into ``p``
    contiguous equal-sized groups (the paper's thread assignment). Each
    group replays the broadcast deltas from ``S_0`` up to its first edge,
@@ -34,7 +35,7 @@ same RNG seed, up to float summation order.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 import pandas as pd
 
@@ -42,7 +43,7 @@ from repro.core.abacus import Element
 from repro.core.counting import count_butterflies_with_sample
 from repro.core.probability import discovery_probability
 from repro.core.random_pairing import Op, RandomPairing
-from repro.core.sample_graph import Edge
+from repro.core.sample_graph import Edge, SampleGraph
 
 Triplet = Tuple[int, int, int]
 
@@ -50,30 +51,6 @@ Triplet = Tuple[int, int, int]
 # ---------------------------------------------------------------------------
 # version replay + per-group counting (shared by all executors)
 # ---------------------------------------------------------------------------
-def build_adjacency(edges: Iterable[Edge]) -> Dict[int, Set[int]]:
-    """Adjacency dict from an edge list (the broadcast S_0 payload)."""
-    adj: Dict[int, Set[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    return adj
-
-
-def apply_op(adj: Dict[int, Set[int]], op: Op) -> None:
-    """Apply one sample delta op ('a'dd / 'r'emove) to an adjacency dict."""
-    kind, u, v = op
-    if kind == "a":
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    else:
-        for a, b in ((u, v), (v, u)):
-            s = adj.get(a)
-            if s is not None:
-                s.discard(b)
-                if not s:
-                    del adj[a]
-
-
 def group_bounds(m: int, p: int) -> List[int]:
     """p+1 boundaries splitting range(m) into p contiguous balanced groups."""
     if m == 0:
@@ -99,22 +76,25 @@ def process_group(
     mini-batch or just the group's elements keyed by batch position.
     Returns ``(partial_count, comparisons)``.
     """
-    adj = build_adjacency(s0_edges)
+    sample = SampleGraph()
+    for u, v in s0_edges:
+        sample.add(u, v)
+    replay = {"a": sample.add, "r": sample.remove}
     for j in range(start):
-        for op in deltas[j]:
-            apply_op(adj, op)
+        for kind, u, v in deltas[j]:
+            replay[kind](u, v)
     partial = 0.0
     comparisons = 0
     for j in range(start, stop):
         u, v, sign = batch[j]
-        n_bf, comps = count_butterflies_with_sample(adj, u, v)
+        n_bf, comps = count_butterflies_with_sample(sample.adj, u, v)
         comparisons += comps
         if n_bf:
             n_live, c_b, c_g = triplets[j]
             p = discovery_probability(k, n_live, c_b, c_g)
             partial += (n_bf if sign > 0 else -n_bf) / p
-        for op in deltas[j]:
-            apply_op(adj, op)
+        for kind, a, b in deltas[j]:
+            replay[kind](a, b)
     return partial, comparisons
 
 

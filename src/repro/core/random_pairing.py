@@ -67,7 +67,13 @@ class RandomPairing:
         return ops
 
     def delete(self, u: int, v: int) -> List[Op]:
-        """DeleteFromSample({u, v}): process an edge deletion."""
+        """DeleteFromSample({u, v}): process an edge deletion.
+
+        Raises ``ValueError``, with no counter changed, when no edge is
+        live: the stream deletes an edge it never inserted.
+        """
+        if self.n_live == 0:
+            raise ValueError(f"deletion of ({u}, {v}) with no live edges")
         self.n_live -= 1
         if (u, v) in self.sample:
             self.sample.remove(u, v)

@@ -172,6 +172,31 @@ def test_kernel_property_both_orientations_and_sampled_cases(seed):
     assert seen == {True, False}  # both sampled and unsampled edges hit
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_kernel_matches_brute_force_across_mask_switch(seed):
+    """Count and comparisons equal the plain-set kernel and the count
+    equals brute force, while the sample grows past the bitmask switch
+    and then loses edges again."""
+    rng = random.Random(seed)
+    g = SampleGraph()
+    pool = [(x, enc_right(y)) for x in range(8) for y in range(8)]
+    rng.shuffle(pool)
+    ops = [("a", ed) for ed in pool[:48]]
+    ops += [("r", ed) for ed in rng.sample(pool[:48], 40)]
+    seen = set()
+    for kind, ed in ops:
+        (g.add if kind == "a" else g.remove)(*ed)
+        plain = {x: set(n) for x, n in g.adj.items()}
+        for _ in range(6):
+            u, v = rng.randrange(8), enc_right(rng.randrange(8))
+            for a, b in ((u, v), (v, u)):
+                got = count_butterflies_with_sample(g.adj, a, b)
+                assert got == count_butterflies_with_sample(plain, a, b), (a, b)
+                assert got[0] == brute_force_per_edge(plain, a, b), (a, b)
+        seen.add(getattr(g.adj, "masks", None) is not None)
+    assert seen == {False, True}
+
+
 def cumulative_degree_kernel(adj, u, v):
     """Reference copy of the earlier kernel: explore the endpoint whose
     sampled neighborhood has the smaller cumulative degree (Alg. 1 line
@@ -202,20 +227,25 @@ def cumulative_degree_kernel(adj, u, v):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_abacus_estimate_identical_to_cumulative_degree_kernel(seed, monkeypatch):
-    """The explore side changes only the comparisons: with a sample
-    smaller than the stream, deletions included, the estimate is
-    bit-identical to one computed with the cumulative-degree kernel."""
-    edges = zipf_bipartite(40, 40, 500, 0.9, 0.9, seed=seed)
-    stream = fully_dynamic_stream(edges, 0.25, seed=seed)
-    k = len(stream) // 3
-    new = Abacus(k=k, seed=seed)
-    new_est = new.process_stream(stream)
-    monkeypatch.setattr(
-        abacus_mod, "count_butterflies_with_sample", cumulative_degree_kernel
-    )
-    ref = Abacus(k=k, seed=seed)
-    ref_est = ref.process_stream(stream)
-    assert k < len(stream)
-    assert new.sample_size == ref.sample_size
-    assert new_est != 0.0
-    assert new_est == ref_est
+    """The explore side and the bitmask path change no count: with a
+    sample smaller than the stream, deletions included, the estimate is
+    bit-identical to one computed with the cumulative-degree kernel on
+    plain sets. The 40x40 graph's sample switches to bitmasks, the
+    200x200 graph's does not."""
+    for n_side, dense in ((40, True), (200, False)):
+        edges = zipf_bipartite(n_side, n_side, 500, 0.9, 0.9, seed=seed)
+        stream = fully_dynamic_stream(edges, 0.25, seed=seed)
+        k = len(stream) // 3
+        new = Abacus(k=k, seed=seed)
+        new_est = new.process_stream(stream)
+        assert (getattr(new.rp.sample.adj, "masks", None) is not None) == dense
+        with monkeypatch.context() as m:
+            m.setattr(
+                abacus_mod, "count_butterflies_with_sample", cumulative_degree_kernel
+            )
+            ref = Abacus(k=k, seed=seed)
+            ref_est = ref.process_stream(stream)
+        assert k < len(stream)
+        assert new.sample_size == ref.sample_size
+        assert new_est != 0.0
+        assert new_est == ref_est

@@ -8,8 +8,6 @@ from repro.core.parabacus import (
     RDDExecutor,
     SerialExecutor,
     SparkExecutor,
-    apply_op,
-    build_adjacency,
     group_bounds,
     process_group,
 )
@@ -44,26 +42,6 @@ def test_group_bounds_empty_batch():
     assert group_bounds(0, 4) == [0]
 
 
-def test_apply_op_roundtrip():
-    adj = {}
-    apply_op(adj, ("a", 1, enc_right(1)))
-    assert adj == {1: {enc_right(1)}, enc_right(1): {1}}
-    apply_op(adj, ("r", 1, enc_right(1)))
-    assert adj == {}
-
-
-def test_apply_op_remove_keeps_other_neighbors():
-    adj = build_adjacency([(1, enc_right(1)), (1, enc_right(2))])
-    apply_op(adj, ("r", 1, enc_right(1)))
-    assert adj[1] == {enc_right(2)}
-    assert enc_right(1) not in adj
-
-
-def test_build_adjacency():
-    adj = build_adjacency([(1, enc_right(1)), (2, enc_right(1))])
-    assert adj[enc_right(1)] == {1, 2}
-
-
 # ---------------------------------------------------------------------------
 # Theorem 5: PARABACUS == ABACUS (same seed)
 # ---------------------------------------------------------------------------
@@ -83,6 +61,19 @@ def test_equivalence_any_group_count(n_groups):
     e1 = Abacus(k=20, seed=3).process_stream(stream)
     pb = ParAbacus(k=20, batch_size=50, seed=3, executor=SerialExecutor(n_groups))
     assert pb.process_stream(stream) == pytest.approx(e1, rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("n_groups", [1, 3])
+def test_equivalence_dense_sample(n_groups):
+    """A sample dense enough to keep bitmasks, on the driver and in the
+    groups' replayed samples, changes neither estimate nor comparisons."""
+    stream = stream_of(4, n=250)
+    ab = Abacus(k=150, seed=4)
+    e1 = ab.process_stream(stream)
+    assert getattr(ab.rp.sample.adj, "masks", None) is not None
+    pb = ParAbacus(k=150, batch_size=40, seed=4, executor=SerialExecutor(n_groups))
+    assert pb.process_stream(stream) == pytest.approx(e1, rel=1e-9, abs=1e-9)
+    assert pb.comparisons == ab.comparisons
 
 
 def test_exact_mode_parabacus():

@@ -210,3 +210,14 @@ def test_external_rng_shared():
     rng = random.Random(1)
     rp = RandomPairing(k=3, rng=rng)
     assert rp.rng is rng
+
+
+def test_delete_with_no_live_edges_raises_without_mutation():
+    rp = RandomPairing(k=10, seed=0)
+    rp.insert(1, enc_right(1))
+    rp.delete(1, enc_right(1))
+    state = (rp.triplet, rp.sample.edges(), rp.rng.getstate())
+    with pytest.raises(ValueError):
+        rp.delete(2, enc_right(2))
+    assert (rp.triplet, rp.sample.edges(), rp.rng.getstate()) == state
+    assert rp.n_live == 0 and rp.c_b == 1 and rp.c_g == 0

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from repro.core.encoding import enc_right
-from repro.core.sample_graph import SampleGraph, canon
+from repro.core.encoding import enc_right, is_left
+from repro.core.sample_graph import DENSE_MEAN_DEGREE, SampleGraph, canon
 
 
 def e(u, r):
@@ -65,6 +65,14 @@ def test_neighbors_and_degree():
     g.add(*e(2, 10))
     assert g.neighbors(1) == {enc_right(10), enc_right(11)}
     assert g.neighbors(enc_right(10)) == {1, 2}
+
+
+def test_remove_keeps_other_neighbors():
+    g = SampleGraph()
+    g.add(*e(1, 1))
+    g.add(*e(1, 2))
+    g.remove(*e(1, 1))
+    assert g.adj == {1: {enc_right(2)}, enc_right(2): {1}}
 
 
 def test_isolated_vertices_dropped():
@@ -132,3 +140,83 @@ def test_swap_pop_preserves_membership_after_removals():
     for ed in remaining:
         assert ed in g
     assert sorted(g.edges()) == sorted(remaining)
+
+
+def assert_masks_exact(g):
+    """Each sampled vertex has one bit, unique on its side; bits handed
+    out on a side are exactly the live ones plus the freed ones; each
+    mask is the OR of the neighbors' bits."""
+    masks, bits = g.adj.masks, g._bit
+    assert masks is g._masks
+    assert set(masks) == set(bits) == set(g.adj)
+    for side, left in enumerate((True, False)):
+        live = [b for x, b in bits.items() if is_left(x) == left]
+        free = g._free[side]
+        assert len(set(live) | set(free)) == len(live) + len(free)
+        assert set(live) | set(free) == {1 << i for i in range(g._top[side])}
+    for x, nbrs in g.adj.items():
+        expected = 0
+        for w in nbrs:
+            expected |= bits[w]
+        assert masks[x] == expected, x
+
+
+def test_masks_start_at_dense_mean_degree():
+    """Masks appear with the edge that lifts 2|S|/|V_S| to the threshold."""
+    assert DENSE_MEAN_DEGREE == 4
+    g = SampleGraph()
+    for i in range(3):
+        for j in range(3):
+            g.add(*e(i, j))  # K_{3,3}: mean degree 3
+    assert g._masks is None
+    g.add(*e(3, 0))
+    g.add(*e(3, 1))
+    g.add(*e(3, 2))  # 12 edges on 7 vertices: mean degree < 4
+    assert g._masks is None
+    for j in range(3, 5):
+        g.add(*e(0, j))  # new vertices never raise the mean to 4
+        assert g._masks is None
+    for i in (1, 2, 3):
+        g.add(*e(i, 3))
+    assert g._masks is None  # 17 edges on 9 vertices
+    g.add(*e(1, 4))  # 18 edges on 9 vertices: mean degree 4
+    assert g._masks is not None
+    assert_masks_exact(g)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_masks_exact_across_switch_drain_and_bit_reuse(seed):
+    """Random adds and removes: fill past the switch, drain until vertices
+    leave, then churn. Masks are kept once on, and after every op they
+    and the bits match the adjacency."""
+    rng = random.Random(seed)
+    g = SampleGraph()
+    pool = [e(u, r) for u in range(7) for r in range(6)]
+    ref = set()
+    switched = False
+    left = assigned = 0  # vertices that left / got a bit since the switch
+    for step in range(700):
+        p_add = 0.9 if step < 150 else 0.15 if step < 300 else 0.5
+        absent = [ed for ed in pool if ed not in ref]
+        before = set(g.adj)
+        if absent and (not ref or rng.random() < p_add):
+            ed = rng.choice(absent)
+            g.add(*ed)
+            ref.add(ed)
+        else:
+            ed = rng.choice(sorted(ref))
+            g.remove(*ed)
+            ref.discard(ed)
+        assert len(g) == len(ref)
+        if switched:
+            assert g._masks is not None  # kept once on
+            left += len(before - set(g.adj))
+            assigned += len(set(g.adj) - before)
+        elif g._masks is not None:
+            switched = True
+            assigned = len(g.adj)
+        if switched:
+            assert_masks_exact(g)
+    assert switched
+    assert left > 0
+    assert assigned > sum(g._top)  # some bits were handed out twice
