@@ -6,8 +6,9 @@ Per mini-batch of M elements:
    the pre-update triplet ``(|E|, c_b, c_g)`` (Sec. V-A's cached
    ``{s, c_b, c_g}``) and the delta ``S_{j-1} -> S_j`` produced by
    Random Pairing. The base version ``S_0`` is snapshotted once (as an
-   edge list — cheap to broadcast; tasks rebuild it as a
-   :class:`~repro.core.sample_graph.SampleGraph` in O(k)).
+   edge list — cheap to broadcast; each task rebuilds it in bulk with
+   :meth:`~repro.core.sample_graph.SampleGraph.from_edges`, ≈35 ms for
+   k=24K on movielens_lite, masks included).
 2. **Parallel per-edge counting**: the M edges are split into ``p``
    contiguous equal-sized groups (the paper's thread assignment). Each
    group replays the broadcast deltas from ``S_0`` up to its first edge,
@@ -26,15 +27,21 @@ Three executors run the *identical* group function:
   counting a ``groupBy("g").applyInPandas`` physical operator;
 - :class:`RDDExecutor` — same fan-out at the RDD layer (the paper's
   contribution *is* this physical parallel operator, and the reproduction
-  brief sanctions RDD for it). Its per-job overhead is ~2x lower than
-  the Catalyst path, so the speedup experiments (Figs. 8-10) use it;
-  both are equivalence-tested against ABACUS.
+  brief sanctions RDD for it). It took about half the time of the
+  Catalyst path on four 16K batches of movielens_lite (k=24K, 4 groups,
+  4-core host), so the speedup experiments (Figs. 8-10) use it; both are
+  equivalence-tested against ABACUS.
+
+Both Spark task bodies end with :func:`drop_cached_zip_finders`, which
+keeps PySpark's per-task set-up from costing more than the counting.
 
 Theorem 5 (and its test) guarantee the estimate equals ABACUS's for the
 same RNG seed, up to float summation order.
 """
 from __future__ import annotations
 
+import sys
+import zipimport
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 import pandas as pd
@@ -76,9 +83,7 @@ def process_group(
     mini-batch or just the group's elements keyed by batch position.
     Returns ``(partial_count, comparisons)``.
     """
-    sample = SampleGraph()
-    for u, v in s0_edges:
-        sample.add(u, v)
+    sample = SampleGraph.from_edges(s0_edges)
     replay = {"a": sample.add, "r": sample.remove}
     for j in range(start):
         for kind, u, v in deltas[j]:
@@ -96,6 +101,22 @@ def process_group(
         for kind, a, b in deltas[j]:
             replay[kind](a, b)
     return partial, comparisons
+
+
+def drop_cached_zip_finders() -> None:
+    """Delete every ``zipimporter`` from ``sys.path_importer_cache``.
+
+    A PySpark worker calls ``importlib.invalidate_caches()`` before every
+    task, and CPython 3.11's ``zipimporter.invalidate_caches`` re-reads
+    its whole archive directory at once. A reused worker caches 16 such
+    finders (``pyspark.zip`` and its sub-package paths, the py4j zip, the
+    spark-core jar), which made set-up cost more than counting did. The
+    cache is public; an import that needs a finder again rebuilds it from
+    ``zipimport._zip_directory_cache`` without reading the archive.
+    """
+    cache = sys.path_importer_cache
+    for path in [p for p, f in cache.items() if isinstance(f, zipimport.zipimporter)]:
+        cache.pop(path, None)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +161,10 @@ class RDDExecutor:
 
         def task(g: int) -> Tuple[int, float, int]:
             s0, b, d, t, budget = bc.value
-            partial, comps = process_group(s0, b, d, t, budget, bounds[g], bounds[g + 1])
+            try:
+                partial, comps = process_group(s0, b, d, t, budget, bounds[g], bounds[g + 1])
+            finally:
+                drop_cached_zip_finders()
             return (g, partial, comps)
 
         try:
@@ -186,10 +210,13 @@ class SparkExecutor:
                 int(i): (int(u), int(v), int(s))
                 for i, u, v, s in zip(pdf["idx"], pdf["u"], pdf["v"], pdf["sign"])
             }
-            partial, comparisons = process_group(
-                s0, grp_batch, all_deltas, all_triplets, budget,
-                min(grp_batch), max(grp_batch) + 1,
-            )
+            try:
+                partial, comparisons = process_group(
+                    s0, grp_batch, all_deltas, all_triplets, budget,
+                    min(grp_batch), max(grp_batch) + 1,
+                )
+            finally:
+                drop_cached_zip_finders()
             return pd.DataFrame(
                 {
                     "g": [int(pdf["g"].iloc[0])],

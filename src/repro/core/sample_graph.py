@@ -33,7 +33,7 @@ sign-based encoding of :mod:`repro.core.encoding`.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.core.encoding import is_left
 
@@ -84,6 +84,37 @@ class SampleGraph:
         self._bit: Dict[int, int] = {}
         self._free: Tuple[List[int], List[int]] = ([], [])
         self._top = [0, 0]
+
+    @classmethod
+    def from_edges(cls, edges: Sequence[Edge]) -> "SampleGraph":
+        """Build a sample holding a copy of ``edges``, canonical and
+        distinct, in bulk.
+
+        The result equals one :meth:`add` per edge, except that masks are
+        kept if and only if the *final* mean sampled degree reaches
+        :data:`DENSE_MEAN_DEGREE`, and bits may be numbered differently.
+        Raises ``ValueError`` on a duplicate edge, as :meth:`add` does.
+        """
+        g = cls()
+        g._edges = edges = list(edges)
+        g._pos = dict(zip(edges, range(len(edges))))
+        if len(g._pos) != len(edges):
+            raise ValueError("duplicate edge in sample")
+        adj = g.adj
+        for a, b in edges:
+            na = adj.get(a)
+            if na is None:
+                adj[a] = {b}
+            else:
+                na.add(b)
+            nb = adj.get(b)
+            if nb is None:
+                adj[b] = {a}
+            else:
+                nb.add(a)
+        if adj and 2 * len(edges) >= DENSE_MEAN_DEGREE * len(adj):
+            g._keep_masks()
+        return g
 
     # -- size / membership -------------------------------------------------
     def __len__(self) -> int:

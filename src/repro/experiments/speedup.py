@@ -5,7 +5,7 @@ same stream (α = 20%), varying the mini-batch size M (Fig. 8) and the
 parallelism p (Fig. 9). PARABACUS runs the Spark RDD executor.
 
 Substitution note (DESIGN.md §3): the paper's Java threads have ~µs
-dispatch overhead; a Spark job costs ~0.3 s per mini-batch, so the
+dispatch overhead; a Spark job costs ~0.15 s per mini-batch, so the
 per-batch counting work must dominate that for parallelism to pay off
 and the absolute factors are smaller than the paper's. The monotone
 shapes are preserved and asserted in the benchmarks: speedup grows with

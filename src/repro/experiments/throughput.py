@@ -35,7 +35,7 @@ def throughput_sweep(
 
     ``ks`` are effective sample sizes (default: scaled full-scale grid).
     ``batch_size`` applies to PARABACUS; the paper's 500-edge mini-batch
-    assumes ~µs thread dispatch — under Spark's ~0.3 s/job overhead the
+    assumes ~µs thread dispatch — under Spark's ~0.15 s/job overhead the
     equivalent operating point is a few thousand edges (DESIGN.md §3).
     """
     if ks is None:

@@ -1,4 +1,9 @@
 """Tests for PARABACUS: Theorem 5 equivalence, versioning, executors."""
+import importlib
+import sys
+import zipfile
+import zipimport
+
 import pytest
 
 from repro.core import exact
@@ -8,6 +13,7 @@ from repro.core.parabacus import (
     RDDExecutor,
     SerialExecutor,
     SparkExecutor,
+    drop_cached_zip_finders,
     group_bounds,
     process_group,
 )
@@ -141,6 +147,30 @@ def test_partial_batch_flushed_at_stream_end():
     assert pb.elements_processed == 25
 
 
+def test_drop_cached_zip_finders(tmp_path, monkeypatch):
+    """Cached zip finders go, other finders stay, and a module in the zip
+    still imports afterwards."""
+    archive = str(tmp_path / "zfinder.zip")
+    with zipfile.ZipFile(archive, "w") as zf:
+        zf.writestr("zfinder_mod.py", "VALUE = 7\n")
+    monkeypatch.syspath_prepend(archive)
+    monkeypatch.setitem(sys.path_importer_cache, archive, zipimport.zipimporter(archive))
+    monkeypatch.delitem(sys.modules, "zfinder_mod", raising=False)
+    others = {
+        p: f
+        for p, f in sys.path_importer_cache.items()
+        if not isinstance(f, zipimport.zipimporter)
+    }
+    assert others
+    drop_cached_zip_finders()
+    assert archive not in sys.path_importer_cache
+    assert not any(
+        isinstance(f, zipimport.zipimporter) for f in sys.path_importer_cache.values()
+    )
+    assert all(sys.path_importer_cache.get(p) is f for p, f in others.items())
+    assert importlib.import_module("zfinder_mod").VALUE == 7
+
+
 # ---------------------------------------------------------------------------
 # Spark executors (session-scoped fixture; kept few but meaningful)
 # ---------------------------------------------------------------------------
@@ -165,3 +195,21 @@ def test_spark_executors_report_comparisons(spark):
     pb = ParAbacus(k=25, batch_size=75, seed=13, executor=RDDExecutor(spark, 3))
     pb.process_stream(stream)
     assert pb.comparisons == ab.comparisons
+
+
+def test_workers_import_after_rdd_batch(spark):
+    """Group tasks drop their workers' cached zip finders; a later job in
+    those workers still imports a pyspark sub-module not loaded before."""
+    stream = stream_of(14, n=120)
+    e1 = Abacus(k=30, seed=14).process_stream(stream)
+    pb = ParAbacus(k=30, batch_size=60, seed=14, executor=RDDExecutor(spark, 4))
+    assert pb.process_stream(stream) == pytest.approx(e1, rel=1e-9, abs=1e-9)
+    module = "pyspark.mllib.fpm"
+
+    def load(_):
+        loaded = module in sys.modules
+        return loaded, importlib.import_module(module).__name__
+
+    got = spark.sparkContext.parallelize(range(4), 4).map(load).collect()
+    assert [name for _, name in got] == [module] * 4
+    assert not all(loaded for loaded, _ in got)  # some task imported it anew

@@ -3,8 +3,12 @@ import random
 
 import pytest
 
+from repro.core.counting import count_butterflies_with_sample
 from repro.core.encoding import enc_right, is_left
+from repro.core.random_pairing import RandomPairing
 from repro.core.sample_graph import DENSE_MEAN_DEGREE, SampleGraph, canon
+from repro.streamgen.graphs import zipf_bipartite
+from repro.streamgen.stream import fully_dynamic_stream
 
 
 def e(u, r):
@@ -220,3 +224,82 @@ def test_masks_exact_across_switch_drain_and_bit_reuse(seed):
     assert switched
     assert left > 0
     assert assigned > sum(g._top)  # some bits were handed out twice
+
+
+def assert_same_sample(g, h):
+    """Same edges and neighbor sets; each one's masks, if kept, exact."""
+    assert sorted(g.edges()) == sorted(h.edges())
+    assert dict(g.adj) == dict(h.adj)
+    for x in (g, h):
+        if x._masks is None:
+            assert not hasattr(x.adj, "masks")
+        else:
+            assert_masks_exact(x)
+
+
+@pytest.mark.parametrize(
+    "n_side, n_edges, k, thirds, built_dense, ends_dense",
+    [
+        (18, 250, 150, 2, True, True),
+        (120, 300, 200, 2, False, False),
+        (18, 250, 60, 2, False, False),
+        (18, 250, 70, 1, None, True),  # seeds 0, 2, 3 switch in the replay
+    ],
+    ids=["dense", "sparse", "near-switch", "switch-in-replay"],
+)
+@pytest.mark.parametrize("seed", range(4))
+def test_from_edges_equals_per_edge_build(
+    n_side, n_edges, k, thirds, built_dense, ends_dense, seed
+):
+    """A Random Pairing sample after ``thirds``/3 of a stream, built in
+    bulk and edge by edge: same edges and neighbors, exact masks after the
+    build and after each sample op of the rest of the stream, and the same
+    counts for every held-out element."""
+    stream = fully_dynamic_stream(
+        zipf_bipartite(n_side, n_side, n_edges, 0.8, 0.8, seed=seed), 0.25, seed=seed
+    )
+    rp = RandomPairing(k, seed=seed)
+    cut = thirds * len(stream) // 3
+    for u, v, sign in stream[:cut]:
+        rp.insert(u, v) if sign > 0 else rp.delete(u, v)
+    edges = rp.sample.edges()
+    bulk = SampleGraph.from_edges(edges)
+    per = SampleGraph()
+    for u, v in edges:
+        per.add(u, v)
+    assert (bulk._masks is not None) == (
+        2 * len(edges) >= DENSE_MEAN_DEGREE * len(bulk.adj)
+    )
+    if built_dense is not None:
+        assert (bulk._masks is not None) == built_dense
+    assert bulk.edges() == edges
+    assert_same_sample(bulk, per)
+    for u, v, sign in stream[cut:]:
+        expected = count_butterflies_with_sample(rp.sample.adj, u, v)
+        assert count_butterflies_with_sample(bulk.adj, u, v) == expected
+        assert count_butterflies_with_sample(per.adj, u, v) == expected
+        ops = rp.insert(u, v) if sign > 0 else rp.delete(u, v)
+        for kind, a, b in ops:
+            for g in (bulk, per):
+                (g.add if kind == "a" else g.remove)(a, b)
+        assert_same_sample(bulk, per)
+    assert (bulk._masks is not None) == ends_dense
+
+
+def test_from_edges_empty_and_duplicate():
+    g = SampleGraph.from_edges([])
+    assert len(g) == 0 and g.adj == {} and g._masks is None
+    with pytest.raises(ValueError):
+        SampleGraph.from_edges([e(1, 1), e(2, 1), e(1, 1)])
+
+
+def test_from_edges_keeps_masks_at_dense_mean_degree():
+    """Masks iff the final 2|S|/|V_S| reaches the threshold: 18 edges on
+    9 vertices have them, the same less one edge do not."""
+    edges = [e(i, j) for i in range(3) for j in range(3)]
+    edges += [e(3, 0), e(3, 1), e(3, 2), e(0, 3), e(0, 4)]
+    edges += [e(1, 3), e(2, 3), e(3, 3), e(1, 4)]
+    g = SampleGraph.from_edges(edges)
+    assert len(g) == 18 and len(g.adj) == 9
+    assert_masks_exact(g)
+    assert SampleGraph.from_edges(edges[:-1])._masks is None
