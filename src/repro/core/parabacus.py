@@ -18,22 +18,16 @@ Per mini-batch of M elements:
 3. **Consolidation** is free: the driver's live sample already advanced
    to ``S_M`` during step 1, which serves as the next batch's ``S_0``.
 
-Three executors run the *identical* group function:
+Two executors run the *identical* group function, :func:`process_group`:
 
 - :class:`SerialExecutor` — in-process loop, for fast Theorem-5
-  equivalence tests;
-- :class:`SparkExecutor` — Catalyst dataflow: the mini-batch is a
-  DataFrame, the versioned sample a broadcast variable, per-group
-  counting a ``groupBy("g").applyInPandas`` physical operator;
-- :class:`RDDExecutor` — same fan-out at the RDD layer (the paper's
-  contribution *is* this physical parallel operator, and the reproduction
-  brief sanctions RDD for it). It took about half the time of the
-  Catalyst path on four 16K batches of movielens_lite (k=24K, 4 groups,
-  4-core host), so the speedup experiments (Figs. 8-10) use it; both are
-  equivalence-tested against ABACUS.
-
-Both Spark task bodies end with :func:`drop_cached_zip_finders`, which
-keeps PySpark's per-task set-up from costing more than the counting.
+  equivalence tests and Spark-free runs;
+- :class:`RDDExecutor` — one Spark job per mini-batch,
+  ``parallelize(groups, p).map(process_group)`` over a broadcast of the
+  versioned sample (the paper's contribution *is* this physical parallel
+  operator). The speedup and load-balance experiments (Figs. 8-10) use
+  it; its task body ends with :func:`drop_cached_zip_finders`, which
+  keeps PySpark's per-task set-up from costing more than the counting.
 
 Theorem 5 (and its test) guarantee the estimate equals ABACUS's for the
 same RNG seed, up to float summation order.
@@ -42,9 +36,7 @@ from __future__ import annotations
 
 import sys
 import zipimport
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
-
-import pandas as pd
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.abacus import Element
 from repro.core.counting import count_butterflies_with_sample
@@ -68,7 +60,7 @@ def group_bounds(m: int, p: int) -> List[int]:
 
 def process_group(
     s0_edges: Sequence[Edge],
-    batch: Union[Sequence[Element], Mapping[int, Element]],
+    batch: Sequence[Element],
     deltas: Sequence[Sequence[Op]],
     triplets: Sequence[Triplet],
     k: int,
@@ -78,9 +70,7 @@ def process_group(
     """Count edges ``batch[start:stop]`` against their sample versions.
 
     ``batch[j]``'s version is ``S_j`` = ``S_0`` + deltas[0..j-1]; the
-    increment uses the cached pre-update triplet ``triplets[j]``. Only
-    ``batch[start:stop]`` is read, so ``batch`` may be the whole
-    mini-batch or just the group's elements keyed by batch position.
+    increment uses the cached pre-update triplet ``triplets[j]``.
     Returns ``(partial_count, comparisons)``.
     """
     sample = SampleGraph.from_edges(s0_edges)
@@ -171,72 +161,6 @@ class RDDExecutor:
             return sc.parallelize(range(n_groups), n_groups).map(task).collect()
         finally:
             bc.destroy()
-
-
-class SparkExecutor:
-    """Distributed per-edge counting via ``groupBy().applyInPandas``.
-
-    The mini-batch travels as a DataFrame ``(idx, u, v, sign, g)``; the
-    base sample ``S_0``, the delta list, and the triplets travel as one
-    broadcast variable. Shuffle partitioning is pinned to ``n_groups``
-    for the duration of the query so each group maps to one task (the
-    paper's one-thread-per-group model).
-    """
-
-    def __init__(self, spark, n_groups: int = 8):
-        self.spark = spark
-        self.n_groups = n_groups
-
-    def run(self, s0_edges, batch, deltas, triplets, k) -> List[Tuple[int, float, int]]:
-        spark = self.spark
-        m = len(batch)
-        bounds = group_bounds(m, self.n_groups)
-        n_groups = len(bounds) - 1
-        bc = spark.sparkContext.broadcast((list(s0_edges), list(deltas), list(triplets), k))
-
-        rows = []
-        for g in range(n_groups):
-            for j in range(bounds[g], bounds[g + 1]):
-                u, v, sign = batch[j]
-                rows.append((j, u, v, sign, g))
-        df = spark.createDataFrame(
-            pd.DataFrame(rows, columns=["idx", "u", "v", "sign", "g"]),
-            schema="idx long, u long, v long, sign int, g int",
-        )
-
-        def count_one_group(pdf: pd.DataFrame) -> pd.DataFrame:
-            s0, all_deltas, all_triplets, budget = bc.value
-            grp_batch = {
-                int(i): (int(u), int(v), int(s))
-                for i, u, v, s in zip(pdf["idx"], pdf["u"], pdf["v"], pdf["sign"])
-            }
-            try:
-                partial, comparisons = process_group(
-                    s0, grp_batch, all_deltas, all_triplets, budget,
-                    min(grp_batch), max(grp_batch) + 1,
-                )
-            finally:
-                drop_cached_zip_finders()
-            return pd.DataFrame(
-                {
-                    "g": [int(pdf["g"].iloc[0])],
-                    "partial": [partial],
-                    "comparisons": [comparisons],
-                }
-            )
-
-        prev = spark.conf.get("spark.sql.shuffle.partitions")
-        spark.conf.set("spark.sql.shuffle.partitions", str(n_groups))
-        try:
-            collected = (
-                df.groupBy("g")
-                .applyInPandas(count_one_group, "g int, partial double, comparisons long")
-                .collect()
-            )
-        finally:
-            spark.conf.set("spark.sql.shuffle.partitions", prev)
-            bc.destroy()
-        return [(r["g"], r["partial"], r["comparisons"]) for r in collected]
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ ignore deletions and therefore estimate the insert-only count.
 Fig. 5: insertion-only streams (α = 0%) — all three are applicable.
 
 Each (dataset, k, algo) point is the mean relative error over ``runs``
-seeded repetitions (the paper uses 10; our defaults are 5 for jobs and
-fewer in benchmarks). The ground truth is the exact count of the final
-graph (per run, since deletion choices vary with the seed).
+seeded repetitions (the paper uses 10; our defaults are 5 for
+``python -m repro.run`` and fewer in benchmarks). The ground truth is the
+exact count of the final graph (per run, since deletion choices vary with
+the seed).
 """
 from __future__ import annotations
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.core.parabacus import ParAbacus, RDDExecutor, SerialExecutor
 from repro.experiments import common
 from repro.streamgen import datasets
 
@@ -36,8 +35,7 @@ def load_per_group(
     rows: List[Dict] = []
     for name in dataset_names:
         stream = common.make_stream(name, alpha, scale, seed=seed)
-        ex = RDDExecutor(spark, n_groups) if spark is not None else SerialExecutor(n_groups)
-        pb = ParAbacus(k, batch_size=batch_size, seed=31, executor=ex)
+        pb = common.make_algo("parabacus", k, 31, spark, batch_size, n_groups)
         pb.process_stream(stream)
         total = sum(pb.group_comparisons.values())
         for g in sorted(pb.group_comparisons):

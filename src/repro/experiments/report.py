@@ -1,7 +1,8 @@
 """Tiny fixed-width table reporter for experiment harnesses.
 
-Keeps job/benchmark output greppable in ``bench_output.txt`` and
-diffable against the paper numbers recorded in EXPERIMENTS.md.
+Keeps exhibit (``python -m repro.run``) and benchmark output greppable in
+``bench_output.txt`` and diffable against the paper numbers recorded in
+EXPERIMENTS.md.
 """
 from __future__ import annotations
 

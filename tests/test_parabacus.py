@@ -12,7 +12,6 @@ from repro.core.parabacus import (
     ParAbacus,
     RDDExecutor,
     SerialExecutor,
-    SparkExecutor,
     drop_cached_zip_finders,
     group_bounds,
     process_group,
@@ -178,13 +177,6 @@ def test_equivalence_rdd_executor(spark):
     stream = stream_of(11, n=200)
     e1 = Abacus(k=30, seed=11).process_stream(stream)
     pb = ParAbacus(k=30, batch_size=60, seed=11, executor=RDDExecutor(spark, 4))
-    assert pb.process_stream(stream) == pytest.approx(e1, rel=1e-9, abs=1e-9)
-
-
-def test_equivalence_spark_applyinpandas_executor(spark):
-    stream = stream_of(12, n=200)
-    e1 = Abacus(k=30, seed=12).process_stream(stream)
-    pb = ParAbacus(k=30, batch_size=100, seed=12, executor=SparkExecutor(spark, 4))
     assert pb.process_stream(stream) == pytest.approx(e1, rel=1e-9, abs=1e-9)
 
 
